@@ -69,7 +69,7 @@ func (w *converge) run(d time.Duration, tr *tracer) (*runStats, error) {
 	var wallSeq, wallPar []float64
 	hw := watchHeap()
 	start, cpuStart := time.Now(), cpuTime()
-	for len(rs.primary) == 0 || time.Since(start) < d {
+	for rs.attempted == 0 || time.Since(start) < d {
 		seed := roundSeed(w.o.seed, w.round)
 		w.round++
 		t0, cpu0 := time.Now(), cpuTime()

@@ -112,6 +112,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "perfbench: %v\n", err)
 		return 2
 	}
+	// A stack that stops answering would hang the run; give up instead.
+	limit := 90*time.Second + 8*time.Duration(o.seconds)*time.Second
+	watchdog := time.AfterFunc(limit, func() {
+		fmt.Fprintf(stderr, "perfbench: no result after %v, giving up\n", limit)
+		os.Exit(1)
+	})
+	defer watchdog.Stop()
 	res, err := execute(o, stdout)
 	if err == nil {
 		err = finite(res.Metrics)
