@@ -65,7 +65,7 @@ type scale struct {
 
 var fullScale = scale{
 	entries:    100_000,
-	rate:       2000,
+	rate:       1000,
 	simNodes:   256,
 	simSeconds: 1800,
 	warmSecs:   600,
