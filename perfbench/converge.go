@@ -14,6 +14,7 @@ import (
 	"netcoord/internal/sim"
 	"netcoord/internal/trace"
 	"netcoord/internal/vivaldi"
+	"netcoord/internal/xrand"
 )
 
 // converge: rounds of netcoord.Simulate with DefaultConfig (MP filter
@@ -154,8 +155,12 @@ type replayNode struct {
 // layers replays round 0's seeded trace through each layer's public
 // function — generator, filter bank, Vivaldi, ENERGY, metric
 // collectors — with a span around every call, then steps a sim.Runner
-// over the same trace and counts the allocations of one Simulate call.
-func (w *converge) layers(tr *tracer, last *runStats, m map[string]metric) error {
+// over the same trace, counting its filter's outputs, and makes one
+// Simulate call for its allocations and its update rates. The replay
+// is only for the timings: it reads each peer's live coordinate where
+// the runner reads the snapshot taken at the start of the tick, so its
+// figures are not the program's.
+func (w *converge) layers(tr *tracer, m map[string]metric) error {
 	n, secs := w.o.scale.simNodes, w.o.scale.simSeconds
 	seed := roundSeed(w.o.seed, 0)
 	net, err := netsim.New(netsim.DefaultWideArea(n, seed))
@@ -194,7 +199,7 @@ func (w *converge) layers(tr *tracer, last *runStats, m map[string]metric) error
 	nodes := make([]*replayNode, n)
 	for i := range nodes {
 		vc := vcfg
-		vc.Seed += uint64(i)
+		vc.Seed = xrand.Hash64(vcfg.Seed, uint64(i)) // as sim.NewRunner seeds node i
 		viv, err := vivaldi.New(vc)
 		if err != nil {
 			return err
@@ -217,7 +222,6 @@ func (w *converge) layers(tr *tracer, last *runStats, m map[string]metric) error
 	sys.Reserve(uint64(secs), secs+1)
 	app.Reserve(uint64(secs), secs+1)
 
-	var observed, passed, sysUpdates, appUpdates float64
 	for _, s := range samples {
 		if s.Lost || s.From == s.To {
 			continue
@@ -234,11 +238,9 @@ func (w *converge) layers(tr *tracer, last *runStats, m map[string]metric) error
 		start := tr.now()
 		filtered, ok := src.bank.Observe(s.To, s.RTT)
 		tr.add("filter.observe", 0, start, tr.now())
-		observed++
 		var moved, appMoved float64
 		var changed bool
 		if ok {
-			passed++
 			src.prevSys.CopyFrom(src.viv.CoordinateRef())
 			start = tr.now()
 			err := src.viv.UpdateWithSeparation(filtered, dst.viv.CoordinateRef(), dst.viv.Error(), sep)
@@ -249,9 +251,6 @@ func (w *converge) layers(tr *tracer, last *runStats, m map[string]metric) error
 			if moved, err = src.viv.CoordinateRef().DisplacementFrom(src.prevSys); err != nil {
 				return err
 			}
-			if moved > 0 {
-				sysUpdates++
-			}
 			src.prevApp.CopyFrom(src.policy.AppRef())
 			start = tr.now()
 			newApp, ch, err := src.policy.Observe(heuristic.Observation{Sys: src.viv.CoordinateRef()})
@@ -259,9 +258,7 @@ func (w *converge) layers(tr *tracer, last *runStats, m map[string]metric) error
 			if err != nil {
 				return err
 			}
-			if changed = ch; changed {
-				appUpdates++
-			}
+			changed = ch
 			if appMoved, err = newApp.DisplacementFrom(src.prevApp); err != nil {
 				return err
 			}
@@ -288,8 +285,10 @@ func (w *converge) layers(tr *tracer, last *runStats, m map[string]metric) error
 		return err
 	}
 
+	var observed, passed float64
+	counting := func() filter.Filter { return &countingFilter{factory(), &observed, &passed} }
 	runner, err := sim.NewRunner(sim.Config{
-		Nodes: n, Vivaldi: vcfg, Filter: factory, Policy: policy, Parallelism: 1,
+		Nodes: n, Vivaldi: vcfg, Filter: counting, Policy: policy, Parallelism: 1,
 		ExpectedTicks: uint64(secs), ExpectedSamplesPerNode: secs + 1,
 	})
 	if err != nil {
@@ -315,11 +314,28 @@ func (w *converge) layers(tr *tracer, last *runStats, m map[string]metric) error
 	m["filter.pass_ratio"] = metric{passed / observed, "ratio"}
 	m["vivaldi.update_ns"] = metric{tr.medianNs("vivaldi.update"), "ns"}
 	m["heuristic.observe_ns"] = metric{tr.medianNs("heuristic.observe"), "ns"}
-	m["heuristic.app_update_ratio"] = metric{appUpdates / sysUpdates, "ratio"}
+	m["heuristic.app_update_ratio"] = metric{r.App.UpdatesPerSecond / r.System.UpdatesPerSecond, "ratio"}
 	m["metrics.record_ns"] = metric{tr.medianNs("metrics.record"), "ns"}
 	m["metrics.summarize_ms"] = metric{tr.medianNs("metrics.summarize") / 1e6, "ms"}
 	m["sim.step_ns"] = metric{tr.medianNs("sim.step"), "ns"}
 	return nil
+}
+
+// countingFilter counts a sim.Runner's filter observations and the
+// estimates they yield. The runner steps sequentially, so plain
+// counters suffice.
+type countingFilter struct {
+	filter.Filter
+	observed, passed *float64
+}
+
+func (c *countingFilter) Observe(sample float64) (float64, bool) {
+	est, ok := c.Filter.Observe(sample)
+	*c.observed++
+	if ok {
+		*c.passed++
+	}
+	return est, ok
 }
 
 // warmup has nothing left to do: set-up already simulated.

@@ -386,7 +386,7 @@ func sameAnswer(a, b []ranked) error {
 
 // layers times direct calls into the handler, the registry and the
 // index with the run's own queries.
-func (w *serveRead) layers(tr *tracer, last *runStats, m map[string]metric) error {
+func (w *serveRead) layers(tr *tracer, m map[string]metric) error {
 	const n = 2000
 	var gets []*readOp
 	var batches []*readOp
@@ -413,6 +413,21 @@ func (w *serveRead) layers(tr *tracer, last *runStats, m map[string]metric) erro
 		w.srv.ServeHTTP(rw, reqs[i])
 	}
 	m["server.nearest_allocs"] = metric{float64(heapObjects()-allocs) / n, "count"}
+	// The same requests over loopback, one at a time on one connection,
+	// so the difference to the in-process calls is the client,
+	// transport and socket alone.
+	var buf bytes.Buffer
+	var lerr error
+	timeCalls(tr, "http.nearest_k8", n, func(i int) {
+		status, err := w.do(gets[i%len(gets)], &buf)
+		if err == nil && status != http.StatusOK {
+			err = fmt.Errorf("GET %s: status %d", gets[i%len(gets)].url, status)
+		}
+		lerr = cmpErr(lerr, err)
+	})
+	if lerr != nil {
+		return lerr
+	}
 
 	const nb = 200
 	breqs := make([]*http.Request, nb)
@@ -486,7 +501,7 @@ func (w *serveRead) layers(tr *tracer, last *runStats, m map[string]metric) erro
 	m["registry.nearest_seq_ns"] = metric{tr.medianNs("registry.nearest_seq"), "ns"}
 	m["registry.batch_ns_per_query"] = metric{tr.medianNs("registry.batch") / batchQueries, "ns"}
 	m["index.knn_ns"] = metric{tr.medianNs("index.knn"), "ns"}
-	m["http.loopback_us"] = metric{median(last.primary) - tr.medianNs("server.nearest")/1e3, "us"}
+	m["http.loopback_us"] = metric{(tr.medianNs("http.nearest_k8") - tr.medianNs("server.nearest")) / 1e3, "us"}
 	return nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"runtime"
 	"runtime/metrics"
 	"slices"
 	"syscall"
@@ -100,6 +101,14 @@ func watchHeap() *heapWatch {
 func (h *heapWatch) Stop() float64 {
 	close(h.stop)
 	return <-h.done
+}
+
+// liveHeap collects garbage and returns the live heap in bytes.
+func liveHeap() float64 {
+	runtime.GC()
+	s := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	metrics.Read(s)
+	return float64(s[0].Value.Uint64())
 }
 
 // heapObjects is the cumulative count of heap allocations.
